@@ -39,7 +39,7 @@ class AttractionMemory:
         self.node = node
         self.sets = layout.am_sets
         # _sets[i]: block base -> AMState, LRU order (oldest first).
-        self._sets: List[Dict[int, AMState]] = [dict() for _ in range(self.sets)]
+        self._sets: List[Dict[int, AMState]] = [{} for _ in range(self.sets)]
         # The layout's block/set arithmetic, pre-resolved: lookup() runs
         # several times per simulated reference.
         self._block_shift = layout.block_bits

@@ -1613,33 +1613,52 @@ void fs_destroy(FastSim *s) {
     free(s);
 }
 
-/* ---- snapshot loading ---- */
+/* ---- initial state ---- */
 void fs_set_stream(FastSim *s, int node, const uint8_t *ops, const int64_t *vals, int64_t len) {
     s->ops[node] = ops;
     s->vals[node] = vals;
     s->slen[node] = len;
 }
 
-int fs_pagemap_add(FastSim *s, int64_t vpn, int64_t pfn) {
-    if (map_put(&s->vpn2pfn, vpn, pfn)) return FS_ERR_INTERNAL;
-    if (map_put(&s->pfn2vpn, pfn, vpn)) return FS_ERR_INTERNAL;
+int fs_pagemap_load(FastSim *s, const int64_t *vpns, const int64_t *pfns, int64_t n) {
+    for (int64_t i = 0; i < n; i++) {
+        if (map_put(&s->vpn2pfn, vpns[i], pfns[i])) return FS_ERR_INTERNAL;
+        if (map_put(&s->pfn2vpn, pfns[i], vpns[i])) return FS_ERR_INTERNAL;
+    }
     return 0;
 }
 
-int fs_am_load(FastSim *s, int node, int64_t block, int state) {
-    Lru *am = &s->am[node];
-    int64_t set = lru_set_of(am, block);
-    if (am->count[set] >= am->assoc) return FS_ERR_INTERNAL;
-    lru_append(am, set, block, (uint8_t)state);
-    return 0;
-}
-
-int fs_dir_load(FastSim *s, int64_t block, int owner, const uint64_t *sharer_words) {
-    int64_t slot = dir_entry_slot(&s->dir, block);
-    if (slot < 0) return (int)slot;
-    s->dir.owner[slot] = owner;
-    memcpy(s->dir.sharers + slot * s->dir.swords, sharer_words,
-           s->dir.swords * sizeof(uint64_t));
+/* Machine._preload_blocks over the protocol page bases, in preload order:
+ * ProtocolEngine.preload_block places each block's master at its home
+ * when the block's AM set has a free way, else at the nearest node
+ * (home + 1, home + 2, ...) that has one.  The initial preload holds no
+ * replicas, so a block that finds no free way anywhere is a capacity
+ * error (the machine's page-level pressure check raises it first).
+ * Directory lookups are not counted: the Python machine counts the
+ * preload's lookups when it preloads the pages. */
+int fs_preload(FastSim *s, const int64_t *page_bases, int64_t n) {
+    int64_t blocks_per_page = (1LL << s->page_bits) / s->am_block;
+    for (int64_t p = 0; p < n; p++) {
+        for (int64_t i = 0; i < blocks_per_page; i++) {
+            int64_t block = page_bases[p] + i * s->am_block;
+            int64_t slot = dir_entry_slot(&s->dir, block);
+            if (slot < 0) return (int)slot;
+            if (s->dir.owner[slot] >= 0) continue;
+            int home = home_of(s, block);
+            int placed = 0;
+            for (int64_t offset = 0; offset < s->nodes && !placed; offset++) {
+                int target = (int)((home + offset) % s->nodes);
+                Lru *am = &s->am[target];
+                int64_t set = lru_set_of(am, block);
+                if (am->count[set] < am->assoc) {
+                    lru_append(am, set, block, AM_MASTER_SHARED);
+                    s->dir.owner[slot] = target;
+                    placed = 1;
+                }
+            }
+            if (!placed) return FS_ERR_CAPACITY;
+        }
+    }
     return 0;
 }
 
@@ -1763,8 +1782,9 @@ void fs_export_hist(FastSim *s, int node, int is_write, int64_t *buckets, int64_
 }
 
 /* which: 0 flc, 1 slc, 2 am.  Returns resident count; blocks/states in
- * set order, LRU order within each set. */
-int64_t fs_export_cache(FastSim *s, int node, int which, int64_t *blocks, uint8_t *states) {
+ * set order, LRU order within each set; stats = hits, misses. */
+int64_t fs_export_cache(FastSim *s, int node, int which, int64_t *blocks, uint8_t *states,
+                        int64_t *stats) {
     Lru *c = which == 0 ? &s->flc[node] : which == 1 ? &s->slc[node] : &s->am[node];
     int64_t k = 0;
     for (int64_t set = 0; set < c->sets; set++) {
@@ -1775,13 +1795,9 @@ int64_t fs_export_cache(FastSim *s, int node, int which, int64_t *blocks, uint8_
             k++;
         }
     }
+    stats[0] = c->hits;
+    stats[1] = c->misses;
     return k;
-}
-
-void fs_cache_stats(FastSim *s, int node, int which, int64_t *out) {
-    Lru *c = which == 0 ? &s->flc[node] : which == 1 ? &s->slc[node] : &s->am[node];
-    out[0] = c->hits;
-    out[1] = c->misses;
 }
 
 int64_t fs_dir_count(FastSim *s) { return s->dir.nentries; }

@@ -35,8 +35,9 @@ from typing import Dict, List, Optional
 from repro.common.errors import ReproError
 
 #: Force a deterministic compiled-engine failure: ``oom`` (allocation
-#: failure mid-run), ``create`` (engine construction fails), or
-#: ``internal`` (sticky internal error status).  Test/CI hook only.
+#: failure after the C preload), ``create`` (engine construction
+#: fails), or ``internal`` (sticky internal error status, after the C
+#: preload).  Test/CI hook only.
 FAULT_ENV = "REPRO_FASTSIM_FAULT"
 
 

@@ -72,9 +72,8 @@ typedef struct FastSim FastSim;
 FastSim *fs_create(const int64_t *geom);
 void fs_destroy(FastSim *s);
 void fs_set_stream(FastSim *s, int node, const uint8_t *ops, const int64_t *vals, int64_t len);
-int fs_pagemap_add(FastSim *s, int64_t vpn, int64_t pfn);
-int fs_am_load(FastSim *s, int node, int64_t block, int state);
-int fs_dir_load(FastSim *s, int64_t block, int owner, const uint64_t *sharer_words);
+int fs_pagemap_load(FastSim *s, const int64_t *vpns, const int64_t *pfns, int64_t n);
+int fs_preload(FastSim *s, const int64_t *page_bases, int64_t n);
 void fs_seed_engine(FastSim *s, const uint32_t *state);
 void fs_seed_tlb(FastSim *s, int idx, const uint32_t *state);
 int fs_run(FastSim *s, int64_t *out);
@@ -90,8 +89,8 @@ void fs_export_global(FastSim *s, int64_t *values, int64_t *calls);
 void fs_export_node_counters(FastSim *s, int node, int64_t *values, int64_t *calls);
 void fs_export_breakdown(FastSim *s, int node, int64_t *out);
 void fs_export_hist(FastSim *s, int node, int is_write, int64_t *buckets, int64_t *count_total);
-int64_t fs_export_cache(FastSim *s, int node, int which, int64_t *blocks, uint8_t *states);
-void fs_cache_stats(FastSim *s, int node, int which, int64_t *out);
+int64_t fs_export_cache(FastSim *s, int node, int which, int64_t *blocks, uint8_t *states,
+                        int64_t *stats);
 int64_t fs_dir_count(FastSim *s);
 void fs_export_dir(FastSim *s, int64_t *blocks, int32_t *owners, uint64_t *sharers);
 void fs_export_dir_lookups(FastSim *s, int64_t *out);

@@ -330,6 +330,9 @@ class SimulationService:
         existing = self.submissions.get(sid)
         if existing is not None:
             existing.requests += 1
+            # Eviction goes by last request: a reused run id must not
+            # be the next one pruned while its client still polls it.
+            self.submissions.move_to_end(sid)
             coalesced = existing.state in (QUEUED, RUNNING)
             if coalesced:
                 record_coalesced_request()

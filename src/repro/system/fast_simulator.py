@@ -14,7 +14,10 @@ object (counters, cache/AM/directory images, TLB contents, RNG states,
 histograms, breakdowns) is indistinguishable from one driven by the
 scalar engine, which the differential suite
 (``tests/integration/test_timing_equivalence.py``) enforces field by
-field.  Anything the C engine does not model — tracing, port
+field.  C places the preloaded blocks itself (``fs_preload``); after
+the run the cache/AM/directory/TLB contents are copied out as raw arrays
+and decoded only when read (``Machine.materialize_image``).  Anything
+the C engine does not model — tracing, port
 contention, topologies, paging extensions, study agents, invariant
 checking — makes :func:`fallback_reason` return a string and the caller
 stays on the scalar path.
@@ -22,11 +25,14 @@ stays on the scalar path.
 
 from __future__ import annotations
 
+import functools
 import os
+from array import array
 from typing import List, Optional
 
 from repro.common.errors import CapacityError, ProtocolError, ReproError
-from repro.coma.states import AMState
+from repro.coma.attraction import AttractionMemory
+from repro.coma.states import AMState, DirectoryEntry
 from repro.core import timing_kernels as tk
 from repro.core.ladder import EngineDegraded, injected_fault
 from repro.core.schemes import TAP_OF_SCHEME, TapPoint
@@ -51,12 +57,14 @@ _TAP_CODE = {
 
 _N_ENGINE_GLOBALS = 11  # glob[0:11] → engine.counters, the rest → crossbar
 
+_TYPECODE = {"int64_t": "q", "int32_t": "i", "uint64_t": "Q", "uint32_t": "I", "uint8_t": "B"}
 
-def _pow2_at_least(n: int) -> int:
-    size = 16
-    while size < n:
-        size <<= 1
-    return size
+
+def _out(ffi, ctype: str, n: int):
+    """A zeroed ``array`` of ``n`` ``ctype`` items and the cffi view C
+    fills it through."""
+    data = array(_TYPECODE[ctype], bytes(ffi.sizeof(ctype) * n))
+    return data, ffi.from_buffer(ctype + "[]", data)
 
 
 def _is_sweep_agent(agent) -> bool:
@@ -84,6 +92,8 @@ def fallback_reason(simulator) -> Optional[str]:
         return f"disabled ({NO_FAST_ENV})"
     if type(machine) is not Machine:
         return f"custom machine type {type(machine).__name__}"
+    if not machine.preload_pending:
+        return "machine image already materialized"
     if (
         machine.tracer is not None
         or machine.engine.trace is not None
@@ -156,7 +166,6 @@ def run_fast(simulator) -> RunResult:
     machine = simulator.machine
     params = machine.params
     layout = machine.layout
-    engine = machine.engine
     agent = machine.agent
     nodes = machine.nodes
     count = params.nodes
@@ -165,7 +174,6 @@ def run_fast(simulator) -> RunResult:
     max_refs = simulator.max_refs_per_node
     swords = (count + 63) // 64
 
-    dir_entries = sum(len(d) for d in engine.directories)
     geom = [0] * tk.GEOM_LEN
     geom[tk.GEOM_NODES] = count
     geom[tk.GEOM_THINK] = think
@@ -204,13 +212,15 @@ def run_fast(simulator) -> RunResult:
     geom[tk.GEOM_AM_BLOCK] = params.am_block
     geom[tk.GEOM_REQ_PAYLOAD] = params.request_payload_bytes
     geom[tk.GEOM_BLK_PAYLOAD] = params.am_block + params.message_header_bytes
-    geom[tk.GEOM_DIR_CAPACITY] = _pow2_at_least(2 * dir_entries + 16)
-    geom[tk.GEOM_MAP_CAPACITY] = _pow2_at_least(2 * len(machine.page_map) + 16)
+    # Hints: an entry per preloaded block / mapped page (C rounds up).
+    geom[tk.GEOM_DIR_CAPACITY] = 2 * len(machine.page_bases) * params.blocks_per_page + 16
+    geom[tk.GEOM_MAP_CAPACITY] = 2 * len(machine.page_map) + 16
 
     handle = lib.fs_create(ffi.new("int64_t[]", geom))
     if handle == ffi.NULL:
         raise EngineDegraded("C engine allocation failed (fs_create OOM)")
     try:
+        _preload_in_c(ffi, lib, handle, machine)
         if fault == "oom":
             raise EngineDegraded("injected fault: C allocation failed (oom)")
         if fault == "internal":
@@ -222,6 +232,20 @@ def run_fast(simulator) -> RunResult:
         lib.fs_destroy(handle)
 
 
+def _preload_in_c(ffi, lib, handle, machine) -> None:
+    """The machine's deferred block preload, done by C from the
+    page-base column, and the page map in one call."""
+    bases = machine.page_bases
+    status = lib.fs_preload(handle, ffi.from_buffer("int64_t[]", bases), len(bases))
+    if status:
+        _raise_engine_error(status)
+    vpns = array("q", machine.page_map)
+    pfns = array("q", machine.page_map.values())
+    views = [ffi.from_buffer("int64_t[]", column) for column in (vpns, pfns)]
+    if lib.fs_pagemap_load(handle, *views, len(vpns)):
+        raise EngineDegraded("page map load failed (map allocation)")
+
+
 def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResult:
     machine = simulator.machine
     engine = machine.engine
@@ -229,7 +253,7 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
     nodes = machine.nodes
     count = machine.params.nodes
 
-    # -- load the snapshot ----------------------------------------------
+    # -- streams and RNG states -----------------------------------------
     # Streams: materialized columns (shared across grid cells through
     # the stream LRU when the caller supplied a workload identity);
     # `keep` pins the arrays and their cffi views for the lifetime of
@@ -248,28 +272,6 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
             ops_view = vals_view = ffi.NULL
         keep.append((ops, vals, ops_view, vals_view))
         lib.fs_set_stream(handle, n, ops_view, vals_view, length)
-
-    for vpn, pfn in machine.page_map.items():
-        if lib.fs_pagemap_add(handle, vpn, pfn) != 0:
-            raise EngineDegraded("page map load failed (map allocation)")
-
-    for n, am in enumerate(engine.ams):
-        for am_set in am._sets:
-            for block, state in am_set.items():
-                if lib.fs_am_load(handle, n, block, int(state)) != 0:
-                    raise EngineDegraded("AM image load failed")
-
-    sharer_words = ffi.new("uint64_t[]", swords)
-    for directory in engine.directories:
-        for block, entry in directory._entries.items():
-            mask = 0
-            for sharer in entry.sharers:
-                mask |= 1 << sharer
-            for w in range(swords):
-                sharer_words[w] = (mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-            owner = -1 if entry.owner is None else entry.owner
-            if lib.fs_dir_load(handle, block, owner, sharer_words) != 0:
-                raise EngineDegraded("directory load failed")
 
     lib.fs_seed_engine(
         handle, ffi.from_buffer("uint32_t[]", tk.rng_state_words(engine._rng))
@@ -393,28 +395,27 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
     for n in range(count):
         sync[n] += end_time - clock[n]
 
-    # -- copy every piece of machine state back -------------------------
+    # -- copy the machine state back -----------------------------------
     # Past this point the Python machine is mutated incrementally, so a
     # failure can no longer degrade to a scalar re-run of the same
     # machine object (Simulator.run checks this flag).
     simulator._fast_state_mutated = True
     refs_per_node = [int(lib.fs_refs_done(handle, n)) for n in range(count)]
     breakdowns = []
-    bd3 = ffi.new("int64_t[3]")
-    hist_buckets = ffi.new("int64_t[]", tk.N_HIST_BUCKETS)
-    hist_ct = ffi.new("int64_t[2]")
-    stats2 = ffi.new("int64_t[2]")
+    stall, stall_out = _out(ffi, "int64_t", 3)
+    hist_buckets, hist_out = _out(ffi, "int64_t", tk.N_HIST_BUCKETS)
+    hist_ct, hist_ct_out = _out(ffi, "int64_t", 2)
+    stats, stats_out = _out(ffi, "int64_t", 2)
     node_vals = ffi.new("int64_t[]", len(tk.NODE_COUNTERS))
     node_calls = ffi.new("int64_t[]", len(tk.NODE_COUNTERS))
+    caches = []
 
     for n, node in enumerate(nodes):
-        lib.fs_export_breakdown(handle, n, bd3)
+        lib.fs_export_breakdown(handle, n, stall_out)
         breakdown = node.breakdown
         breakdown.busy = think * refs_per_node[n]
         breakdown.sync = sync[n]
-        breakdown.loc_stall = int(bd3[0])
-        breakdown.rem_stall = int(bd3[1])
-        breakdown.tlb_stall = int(bd3[2])
+        breakdown.loc_stall, breakdown.rem_stall, breakdown.tlb_stall = stall
         breakdowns.append(breakdown)
 
         lib.fs_export_node_counters(handle, n, node_vals, node_calls)
@@ -424,18 +425,17 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
                 values[name] = values.get(name, 0) + int(node_vals[i])
 
         for is_write, hist in ((0, node.read_latency), (1, node.write_latency)):
-            lib.fs_export_hist(handle, n, is_write, hist_buckets, hist_ct)
-            hist._buckets = {
-                i: int(hist_buckets[i])
-                for i in range(tk.N_HIST_BUCKETS)
-                if hist_buckets[i]
-            }
-            hist.count = int(hist_ct[0])
-            hist.total = int(hist_ct[1])
+            lib.fs_export_hist(handle, n, is_write, hist_out, hist_ct_out)
+            hist._buckets = {i: value for i, value in enumerate(hist_buckets) if value}
+            hist.count, hist.total = hist_ct
 
-        _load_cache(ffi, lib, handle, n, 0, node.flc, stats2, lambda s: s)
-        _load_cache(ffi, lib, handle, n, 1, node.slc, stats2, lambda s: s)
-        _load_cache(ffi, lib, handle, n, 2, engine.ams[n], stats2, AMState)
+        for which, cache in enumerate((node.flc, node.slc, engine.ams[n])):
+            (blocks, blocks_out), (states, states_out) = (
+                _out(ffi, ctype, cache.sets * cache.assoc) for ctype in ("int64_t", "uint8_t")
+            )
+            resident = lib.fs_export_cache(handle, n, which, blocks_out, states_out, stats_out)
+            cache.hits, cache.misses = stats
+            caches.append((cache, blocks[:resident], states[:resident]))
 
     glob_vals = ffi.new("int64_t[]", len(tk.GLOBAL_COUNTERS))
     glob_calls = ffi.new("int64_t[]", len(tk.GLOBAL_COUNTERS))
@@ -447,19 +447,39 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
             target = engine_values if i < _N_ENGINE_GLOBALS else crossbar_values
             target[name] = target.get(name, 0) + int(glob_vals[i])
 
-    _load_directory(ffi, lib, handle, machine, swords)
+    lookups, lookups_out = _out(ffi, "int64_t", count)
+    lib.fs_export_dir_lookups(handle, lookups_out)
+    for directory, looked_up in zip(engine.directories, lookups):
+        directory.lookups += looked_up
+    dcount = int(lib.fs_dir_count(handle))
+    dir_out = [_out(ffi, "int64_t", dcount), _out(ffi, "int32_t", dcount),
+               _out(ffi, "uint64_t", dcount * swords)]
+    lib.fs_export_dir(handle, *(view for _, view in dir_out))
 
+    buffers = []  # raw TLB / bank-buffer images
     if timing_agent:
-        _load_tlbs(ffi, lib, handle, agent, count)
+        buffers = _load_tlbs(ffi, lib, handle, agent, count)
     elif _is_sweep_agent(agent):
-        _load_sweep_agent(ffi, lib, handle, agent, count)
+        buffers = _load_sweep_agent(ffi, lib, handle, agent, count)
 
-    rng_out = ffi.new("uint32_t[]", tk.RNG_STATE_WORDS)
+    rng_words, rng_out = _out(ffi, "uint32_t", tk.RNG_STATE_WORDS)
     lib.fs_export_engine_rng(handle, rng_out)
-    tk.load_rng_state(engine._rng, [int(rng_out[i]) for i in range(tk.RNG_STATE_WORDS)])
+    tk.load_rng_state(engine._rng, rng_words)
     engine._translation_accum = int(lib.fs_translation_accum(handle))
     active_block = int(lib.fs_active_block(handle))
     engine.active_demand_block = None if active_block < 0 else active_block
+
+    # The cache/AM/directory/TLB contents stay raw until first read.
+    containers = [(cache, "_sets") for cache, _, _ in caches]
+    containers += [(directory, "_entries") for directory in engine.directories]
+    for buffer, _, _, rng, _ in buffers:
+        attrs = ("_tags", "_where") + (("_rng", "_getrandbits") if rng is not None else ())
+        containers += [(buffer, attr) for attr in attrs]
+    dir_image = [data for data, _ in dir_out]
+    machine.defer_image(
+        functools.partial(_load_image, machine, caches, dir_image, buffers), containers
+    )
+    _refresh_bank_fanout(agent)
 
     return RunResult(
         machine=machine,
@@ -470,63 +490,60 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
     )
 
 
-def _load_cache(ffi, lib, handle, node: int, which: int, cache, stats2, cast) -> None:
+def _load_image(machine, caches, dir_image, buffers) -> None:
+    """Decode the raw image a compiled run copied out of C into the
+    Python machine (the compiled half of ``Machine.materialize_image``)."""
+    for cache, blocks, states in caches:
+        _load_cache(cache, blocks, states)
+    _load_directory(machine, *dir_image)
+    _load_tags(buffers)
+    _refresh_bank_fanout(machine.agent)
+
+
+def _refresh_bank_fanout(agent) -> None:
+    """Point a StudyAgent's bank fan-outs at the buffers' current
+    ``_where`` maps (stand-ins until decoded, then the real dicts)."""
+    for bank in getattr(agent, "_banks", {}).values():
+        bank._fanout = [(buf._where, buf._install) for buf in bank._buffer_list]
+
+
+def _load_cache(cache, blocks, states) -> None:
     """Rebuild a Python cache/AM image from the C engine's LRU arrays.
 
     The export is set-major and LRU-ordered within each set, so
     appending into fresh per-set dicts reproduces the scalar path's
     dict insertion order (= LRU order) exactly.
     """
-    capacity = cache.sets * cache.assoc
-    blocks = ffi.new("int64_t[]", capacity)
-    states = ffi.new("uint8_t[]", capacity)
-    resident = int(lib.fs_export_cache(handle, node, which, blocks, states))
+    cast = AMState if isinstance(cache, AttractionMemory) else int
     shift = cache._block_shift
     mask = cache._set_mask
-    fresh = [dict() for _ in range(cache.sets)]
-    for i in range(resident):
-        block = int(blocks[i])
-        fresh[(block >> shift) & mask][block] = cast(int(states[i]))
+    fresh = [{} for _ in range(cache.sets)]
+    for block, state in zip(blocks, states):
+        fresh[(block >> shift) & mask][block] = cast(state)
     cache._sets = fresh
-    lib.fs_cache_stats(handle, node, which, stats2)
-    cache.hits = int(stats2[0])
-    cache.misses = int(stats2[1])
 
 
-def _load_directory(ffi, lib, handle, machine, swords: int) -> None:
-    engine = machine.engine
-    layout = machine.layout
-    count = machine.params.nodes
-    dcount = int(lib.fs_dir_count(handle))
-    blocks = ffi.new("int64_t[]", max(dcount, 1))
-    owners = ffi.new("int32_t[]", max(dcount, 1))
-    sharers = ffi.new("uint64_t[]", max(dcount, 1) * swords)
-    lib.fs_export_dir(handle, blocks, owners, sharers)
-    page_bits = layout.page_bits
-    node_mask = count - 1
-    for i in range(dcount):
-        block = int(blocks[i])
-        home = (block >> page_bits) & node_mask
-        entry = engine.directories[home]._entries[block]
-        owner = int(owners[i])
-        entry.owner = None if owner < 0 else owner
-        holders = set()
-        for w in range(swords):
-            word = int(sharers[i * swords + w])
-            base = 64 * w
-            while word:
-                low = word & -word
-                holders.add(base + low.bit_length() - 1)
-                word ^= low
-        entry.sharers = holders
-    lookups = ffi.new("int64_t[]", count)
-    lib.fs_export_dir_lookups(handle, lookups)
-    for home in range(count):
-        engine.directories[home].lookups += int(lookups[home])
+def _load_directory(machine, blocks, owners, sharers) -> None:
+    """Rebuild every home's directory entries from the C export, in
+    entry-creation order (the scalar path's per-home insertion order)."""
+    directories = machine.engine.directories
+    count = len(directories)
+    swords = (count + 63) // 64
+    fresh = [{} for _ in directories]
+    page_bits = machine.layout.page_bits
+    for i, block in enumerate(blocks):
+        mask = sum(sharers[i * swords + w] << (64 * w) for w in range(swords))
+        owner = owners[i]
+        fresh[(block >> page_bits) & (count - 1)][block] = DirectoryEntry(
+            None if owner < 0 else owner, {node for node in range(count) if mask >> node & 1}
+        )
+    for directory, entries in zip(directories, fresh):
+        directory._entries = entries
 
 
-def _load_sweep_agent(ffi, lib, handle, agent, count: int) -> None:
-    """Rebuild a sweep agent's state from the captured tap streams.
+def _load_sweep_agent(ffi, lib, handle, agent, count: int) -> list:
+    """Copy a sweep agent's results out of the captured tap streams;
+    returns the raw bank-buffer images left for :func:`_load_tags`.
 
     For a :class:`~repro.system.taps.StudyAgent`, every bank member is
     replayed over its ``(tap, node)`` stream with one ``fs_bank_run``
@@ -543,13 +560,14 @@ def _load_sweep_agent(ffi, lib, handle, agent, count: int) -> None:
     from repro.system.taps import StudyAgent
 
     if type(agent) is StudyAgent:
-        _load_study_agent(ffi, lib, handle, agent, count)
-    else:
-        _load_capture_agent(ffi, lib, handle, agent, count)
+        return _load_study_agent(ffi, lib, handle, agent, count)
+    _load_capture_agent(ffi, lib, handle, agent, count)
+    return []
 
 
-def _load_study_agent(ffi, lib, handle, agent, count: int) -> None:
+def _load_study_agent(ffi, lib, handle, agent, count: int) -> list:
     total_references = 0
+    images = []
     for tap_index, tap in enumerate(tk.SWEEP_TAPS):
         for n in range(count):
             length = int(lib.fs_cap_count(handle, tap_index, n))
@@ -561,57 +579,31 @@ def _load_study_agent(ffi, lib, handle, agent, count: int) -> None:
                 continue
             pages = lib.fs_cap_data(handle, tap_index, n)
             for buffer in bank._buffer_list:
-                _run_bank(ffi, lib, buffer, pages, length)
+                images.append(_run_bank(ffi, lib, buffer, pages, length))
     agent.total_references += total_references
+    return images
 
 
-def _run_bank(ffi, lib, buffer, pages, length: int) -> None:
+def _run_bank(ffi, lib, buffer, pages, length: int) -> tuple:
     """One fs_bank_run call: replay a recorded stream through one
-    TranslationBuffer, importing misses, contents, and RNG state."""
+    TranslationBuffer and add its misses.  Returns the buffer's final
+    contents and RNG state as raw arrays, for :func:`_load_tags`."""
     rng_words = tk.rng_state_words(buffer._rng)
-    assoc = buffer.assoc
-    sets = buffer.sets
-    tags = ffi.new("int64_t[]", sets * assoc)
-    lens = ffi.new("int32_t[]", sets)
-    misses = int(
-        lib.fs_bank_run(
-            buffer.entries,
-            sets,
-            assoc,
-            ffi.from_buffer("uint32_t[]", rng_words),
-            pages,
-            length,
-            tags,
-            lens,
-        )
-    )
+    tags, tags_out = _out(ffi, "int64_t", buffer.sets * buffer.assoc)
+    lens, lens_out = _out(ffi, "int32_t", buffer.sets)
+    rng_out = ffi.from_buffer("uint32_t[]", rng_words)
+    misses = int(lib.fs_bank_run(buffer.entries, buffer.sets, buffer.assoc, rng_out,
+                                 pages, length, tags_out, lens_out))
     if misses < 0:
         raise MemoryError("fast sweep engine: bank allocation failed")
     buffer.misses += misses
-    new_tags = []
-    where = {}
-    for set_idx in range(sets):
-        ways = [int(tags[set_idx * assoc + w]) for w in range(int(lens[set_idx]))]
-        new_tags.append(ways)
-        for way, page in enumerate(ways):
-            where[page] = (set_idx, way)
-    buffer._tags = new_tags
-    buffer._where = where
-    tk.load_rng_state(buffer._rng, rng_words)
+    return buffer, tags, lens, buffer._rng, rng_words
 
 
 def _load_capture_agent(ffi, lib, handle, agent, count: int) -> None:
-    per_tap = {
-        TapPoint.L0: agent._l0,
-        TapPoint.L1: agent._l1,
-        TapPoint.L2: agent._l2,
-        TapPoint.L2_NO_WBACK: agent._l2_no_wback,
-        TapPoint.L3: agent._l3,
-        TapPoint.HOME: agent._home,
-    }
+    streams = agent.streams()
     total_references = 0
     for tap_index, tap in enumerate(tk.SWEEP_TAPS):
-        columns = per_tap[tap]
         for n in range(count):
             length = int(lib.fs_cap_count(handle, tap_index, n))
             if tap is TapPoint.L0:
@@ -621,33 +613,41 @@ def _load_capture_agent(ffi, lib, handle, agent, count: int) -> None:
             pages = lib.fs_cap_data(handle, tap_index, n)
             # Captured pages are non-negative int64s; a native-order
             # bulk copy into the agent's u8 columns is exact.
-            columns[n].frombytes(ffi.buffer(pages, 8 * length))
+            streams[(tap.value, n)].frombytes(ffi.buffer(pages, 8 * length))
     agent.total_references += total_references
 
 
-def _load_tlbs(ffi, lib, handle, agent, count: int) -> None:
-    rng_out = ffi.new("uint32_t[]", tk.RNG_STATE_WORDS)
+def _load_tlbs(ffi, lib, handle, agent, count: int) -> list:
+    """Copy every timing TLB/DLB's statistics and RNG state back; their
+    tags stay raw (returned for :func:`_load_tags`)."""
+    stats, stats_out = _out(ffi, "int64_t", 2)
+    rng_words, rng_out = _out(ffi, "uint32_t", tk.RNG_STATE_WORDS)
+    images = []
     for n in range(count):
         buffer = agent.buffer(n)
-        capacity = buffer.sets * buffer.assoc
-        tags = ffi.new("int64_t[]", capacity)
-        lens = ffi.new("int32_t[]", buffer.sets)
-        stats = ffi.new("int64_t[2]")
-        lib.fs_export_tlb(handle, n, tags, lens, stats)
-        new_tags = []
-        where = {}
-        for set_idx in range(buffer.sets):
-            ways = [
-                int(tags[set_idx * buffer.assoc + w]) for w in range(int(lens[set_idx]))
-            ]
-            new_tags.append(ways)
-            for way, page in enumerate(ways):
-                where[page] = (set_idx, way)
-        buffer._tags = new_tags
-        buffer._where = where
-        buffer.accesses = int(stats[0])
-        buffer.misses = int(stats[1])
+        tags, tags_out = _out(ffi, "int64_t", buffer.sets * buffer.assoc)
+        lens, lens_out = _out(ffi, "int32_t", buffer.sets)
+        lib.fs_export_tlb(handle, n, tags_out, lens_out, stats_out)
+        buffer.accesses, buffer.misses = stats
         lib.fs_export_tlb_rng(handle, n, rng_out)
-        tk.load_rng_state(
-            buffer._rng, [int(rng_out[i]) for i in range(tk.RNG_STATE_WORDS)]
-        )
+        tk.load_rng_state(buffer._rng, rng_words)
+        images.append((buffer, tags, lens, None, None))
+    return images
+
+
+def _load_tags(buffers) -> None:
+    """Rebuild TranslationBuffer contents — timing TLBs/DLBs and sweep
+    bank members — from raw ``(buffer, tags, lens, rng, rng_words)``
+    images; a bank member's RNG state is restored too."""
+    for buffer, tags, lens, rng, rng_words in buffers:
+        assoc = buffer.assoc
+        buffer._tags = [
+            tags[i * assoc : i * assoc + length].tolist() for i, length in enumerate(lens)
+        ]
+        buffer._where = {
+            page: (i, way) for i, ways in enumerate(buffer._tags) for way, page in enumerate(ways)
+        }
+        if rng is not None:
+            tk.load_rng_state(rng, rng_words)
+            buffer._rng = rng
+            buffer._getrandbits = rng.getrandbits

@@ -15,6 +15,16 @@ then **preloads** every page (the paper simulates no paging): page-table
 entries, directory pages/frames, and one master copy per memory block
 spread from its home node.
 
+The page-level preload runs at construction.  The block-level part —
+AM masters and directory owners — is deferred: a compiled run places
+the blocks in C from the page-base column (``fs_preload``), and the
+Python image is built only when something reads it.  Every AM/cache
+set list, directory entry map and TLB tag list that is not built yet
+holds a :class:`PendingImage`, which calls
+:meth:`Machine.materialize_image` on first use: that runs the Python
+block preload on a machine that never ran, or decodes the image a
+compiled run left behind.
+
 Note on L3-TLB: with page coloring and at least as many page colors as
 nodes (the paper's regime), the physical home of a page coincides with
 its virtual home, and virtual indexing makes the AM placement identical
@@ -25,9 +35,11 @@ taps).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from array import array
+from typing import Callable, Dict, List, Optional
 
 from repro.common.address import AddressLayout
+from repro.common.errors import ReproError
 from repro.common.params import MachineParams
 from repro.common.rng import make_rng
 from repro.common.stats import Counters
@@ -43,6 +55,65 @@ from repro.vm.pressure import PressureTracker
 from repro.vm.segments import SegmentedAddressSpace
 from repro.vm.swap import SwapDaemon
 from repro.workloads.base import Workload, WorkloadContext
+
+
+class PendingImage:
+    """Stand-in for an image container that is not built yet: a
+    cache's or AM's ``_sets``, a directory's ``_entries``, a buffer's
+    ``_tags``/``_where``/RNG.
+
+    Any use calls ``load`` (which must replace ``owner.attr`` with the
+    real container) and forwards to the real container, so no reader
+    sees an empty or stale image.  If the container is still missing
+    after ``load`` — an earlier build failed part-way — the read raises
+    :class:`~repro.common.errors.ReproError`.
+    """
+
+    __slots__ = ("_owner", "_attr", "_load")
+
+    def __init__(self, owner, attr: str, load: Callable[[], None]) -> None:
+        self._owner = owner
+        self._attr = attr
+        self._load = load
+
+    def _real(self):
+        real = getattr(self._owner, self._attr)
+        if real is self:
+            self._load()
+            real = getattr(self._owner, self._attr)
+            if real is self:
+                raise ReproError(
+                    f"machine image unavailable: {type(self._owner).__name__}"
+                    f".{self._attr} was never built"
+                )
+        return real
+
+    def __getattr__(self, name):
+        return getattr(self._real(), name)
+
+    def __getitem__(self, key):
+        return self._real()[key]
+
+    def __setitem__(self, key, value) -> None:
+        self._real()[key] = value
+
+    def __delitem__(self, key) -> None:
+        del self._real()[key]
+
+    def __iter__(self):
+        return iter(self._real())
+
+    def __len__(self) -> int:
+        return len(self._real())
+
+    def __contains__(self, item) -> bool:
+        return item in self._real()
+
+    def __eq__(self, other) -> bool:
+        return self._real() == other
+
+    def __repr__(self) -> str:
+        return f"PendingImage({type(self._owner).__name__}.{self._attr})"
 
 
 class Machine:
@@ -156,7 +227,19 @@ class Machine:
             self.engine.overflow_handler = self._handle_overflow
             self.engine.fault_handler = self._handle_fault
 
+        #: Protocol page base of every preloaded page, in preload order
+        #: (the column ``fs_preload`` places blocks from).
+        self.page_bases = array("q")
+        self._pending_image: Optional[Callable[[], None]] = None
         self._preload()
+        self.defer_image(
+            self._preload_blocks,
+            [(am, "_sets") for am in self.engine.ams]
+            + [(d, "_entries") for d in self.engine.directories],
+        )
+        #: True until the deferred block preload is done: in C by a
+        #: compiled run, or in Python by :meth:`materialize_image`.
+        self.preload_pending = True
         if self.swap_daemon is not None:
             for segment in self.space:
                 for vpn in segment.pages(params.page_size):
@@ -168,6 +251,7 @@ class Machine:
     def _evict_page(self, vpn: int) -> None:
         """Swap one page out: purge every block copy, reclaim its
         directory page (or frame), unmap it."""
+        self.materialize_image()
         layout = self.layout
         home = layout.home_node_of_vpn(vpn)
         pte = self.page_tables[home].remove(vpn)
@@ -225,6 +309,7 @@ class Machine:
         return True
 
     def _page_in(self, vpn: int) -> None:
+        self.materialize_image()
         layout = self.layout
         home = layout.home_node_of_vpn(vpn)
         gps = layout.global_page_set_of_vpn(vpn)
@@ -268,27 +353,92 @@ class Machine:
     # preload (paper Section 5.1: data sets preloaded, no paging)
     # ------------------------------------------------------------------
     def _preload(self) -> None:
+        """The page-level preload: page tables, directory pages or
+        frames, pressure, and the page-base column (the block-level
+        part is deferred, see :meth:`_preload_blocks`).  A data set too big
+        for its attraction-memory sets raises
+        :class:`~repro.common.errors.CapacityError` here: a block can
+        find no free way only when its global page set holds more than
+        ``nodes x am_assoc`` pages, which is the pressure tracker's
+        per-set count."""
         layout = self.layout
-        block = self.params.am_block
-        blocks_per_page = self.params.blocks_per_page
+        page_bits = layout.page_bits
+        node_mask = self.params.nodes - 1
+        # Page color == global page set: the low bits of the VPN (or PFN).
+        color_mask = layout.global_page_sets - 1
+        page_tables = self.page_tables
+        allocate_page = self.pressure.allocate_page
+        bases = self.page_bases
+        lookups = [0] * self.params.nodes
         for segment in self.space:
             for vpn in segment.pages(self.params.page_size):
-                home = layout.home_node_of_vpn(vpn)
+                home = vpn & node_mask
                 if self._virtual_am:
                     handle = self.directory_spaces[home].allocate()
-                    self.page_tables[home].insert(PageTableEntry(vpn, handle.base))
-                    self.pressure.allocate_page(layout.global_page_set_of_vpn(vpn))
-                    proto_base = vpn << layout.page_bits
+                    page_tables[home].insert(PageTableEntry(vpn, handle.base))
+                    allocate_page(vpn & color_mask)
+                    proto_page = vpn
                 else:
                     pfn = self.frames.allocate(vpn)
                     self.page_map[vpn] = pfn
                     self.reverse_map[pfn] = vpn
-                    self.page_tables[home].insert(PageTableEntry(vpn, pfn))
-                    self.pressure.allocate_page(self.frames.color_of(pfn))
-                    proto_base = pfn << layout.page_bits
-                for i in range(blocks_per_page):
-                    self.engine.preload_block(proto_base + i * block)
-                self.counters.add("pages_preloaded")
+                    page_tables[home].insert(PageTableEntry(vpn, pfn))
+                    allocate_page(pfn & color_mask)
+                    proto_page = pfn
+                bases.append(proto_page << page_bits)
+                lookups[proto_page & node_mask] += 1
+        # Each preloaded block costs its home directory one lookup.
+        blocks_per_page = self.params.blocks_per_page
+        for directory, pages in zip(self.engine.directories, lookups):
+            directory.lookups += pages * blocks_per_page
+        if bases:
+            self.counters.add("pages_preloaded", len(bases))
+
+    def _preload_blocks(self) -> None:
+        """The block-level preload in Python: one master copy per block,
+        at its home node when its AM set has room, else spread to the
+        nearest node with a free way.  Runs on demand, from
+        :meth:`materialize_image`; compiled runs do the same in C."""
+        engine = self.engine
+        for am in engine.ams:
+            am._sets = [{} for _ in range(am.sets)]
+        lookups = []
+        for directory in engine.directories:
+            directory._entries = {}
+            lookups.append(directory.lookups)
+        preload_block = engine.preload_block
+        offsets = range(0, self.params.page_size, self.params.am_block)
+        for base in self.page_bases:
+            for offset in offsets:
+                preload_block(base + offset)
+        # _preload has counted these lookups already.
+        for directory, count in zip(engine.directories, lookups):
+            directory.lookups = count
+
+    # ------------------------------------------------------------------
+    # the machine image (AM/cache sets, directory entries, TLB tags)
+    # ------------------------------------------------------------------
+    def defer_image(self, load: Callable[[], None], containers) -> None:
+        """Leave the image unbuilt until first read: every ``(owner,
+        attr)`` in ``containers`` gets a :class:`PendingImage`, and
+        :meth:`materialize_image` will call ``load`` to build them."""
+        self._pending_image = load
+        self.preload_pending = False
+        materialize = self.materialize_image
+        for owner, attr in containers:
+            setattr(owner, attr, PendingImage(owner, attr, materialize))
+
+    def materialize_image(self) -> None:
+        """Build the pending Python machine image, if any: run the
+        block preload on a machine that never ran, or decode the image
+        a compiled run left behind.  Idempotent and cheap once built.
+        The scalar engine, the paging extensions and the deep-state
+        oracles call it; other readers reach it through the
+        :class:`PendingImage` stand-ins."""
+        load, self._pending_image = self._pending_image, None
+        self.preload_pending = False
+        if load is not None:
+            load()
 
     # ------------------------------------------------------------------
     def _inclusion_hook(self, node: int, proto_block: int, action: str) -> None:

@@ -109,6 +109,9 @@ class Simulator:
 
     def _run_scalar(self) -> RunResult:
         machine = self.machine
+        materialize = getattr(machine, "materialize_image", None)
+        if materialize is not None:
+            materialize()
         nodes = machine.nodes
         count = len(nodes)
         think = machine.workload.think_cycles

@@ -131,6 +131,27 @@ class TestEndToEnd:
         assert "repro_service_requests_total" in client.metrics()
 
 
+def test_resubmitted_run_outlives_pruning(grid):
+    """Pruning goes by last request: a grid POSTed again is the newest
+    submission, so the run id just handed back still answers while an
+    older, unrequested run is evicted instead."""
+    svc = SimulationService(max_submissions=2)
+    thread = ServiceThread(svc)
+    client = ServiceClient(*thread.start())
+    try:
+        hot, cold, new = ([spec] for spec in grid[:3])
+        hot_id = client.submit(hot)["run"]
+        client.wait(hot_id, timeout=180)
+        cold_id = client.submit(cold)["run"]
+        client.wait(cold_id, timeout=180)
+        assert client.submit(hot)["run"] == hot_id
+        client.wait(client.submit(new)["run"], timeout=180)
+        assert hot_id in svc.submissions and cold_id not in svc.submissions
+        assert len(client.results(hot_id)["results"]) == 1
+    finally:
+        thread.stop()
+
+
 class TestRequestCoalescing:
     def _concurrent_submits(self, client, specs, count):
         """POST the same grid from ``count`` threads at once."""

@@ -66,6 +66,7 @@ def machine_state(machine) -> dict:
     """The post-run machine image, deep enough to catch any state the
     fast engine failed to export (bank LRU order and RNG positions
     included)."""
+    machine.materialize_image()
     engine = machine.engine
     state = {
         "counters": dict(machine.merged_counters().to_dict()),

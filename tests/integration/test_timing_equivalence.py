@@ -58,6 +58,7 @@ def sets_image(structure):
 def machine_state(machine) -> dict:
     """The post-run machine image, deep enough to catch any state the
     fast engine failed to copy back (LRU order included)."""
+    machine.materialize_image()
     engine = machine.engine
     state = {
         "counters": dict(machine.merged_counters().to_dict()),
