@@ -22,8 +22,9 @@ Environment knobs:
 * ``REPRO_NO_REPLAY`` — set non-empty to force sweeps down the coupled
   scalar reference path instead of record/replay (bit-identical,
   slower; used to cross-check the pipeline).
-* ``REPRO_NO_NUMPY`` — honoured by :mod:`repro.core.replay`: forces the
-  pure-Python replay kernels even when numpy is importable.
+* ``REPRO_NO_COMPILED`` — set non-empty to run every simulation and
+  bank replay on the scalar reference engines instead of the compiled
+  engine (bit-identical, much slower).
 * ``REPRO_BENCH_RETRIES`` — retry budget for transient job failures
   (I/O errors, corrupt traces, worker death, timeouts); default 2, so
   an unattended harness run survives a flaky filesystem.

@@ -18,9 +18,8 @@ miss rate off one tap), time breakdowns, counters, histograms.  The
 only allowed difference is the engine-provenance pair
 (``backend``/``fallback_reason``).
 
-The check honours ``REPRO_NO_NUMPY`` and ``REPRO_NO_NUMBA``, so the CI
-matrix runs it against every kernel/backend combination.  When the
-compiled backend is unavailable both passes run scalar; the check then
+The check honours ``REPRO_NO_COMPILED``, so CI runs it on both
+engines.  When the compiled backend is unavailable both passes run scalar; the check then
 degrades to a determinism check and says so.
 """
 
@@ -33,8 +32,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import MachineParams, make_workload
 from repro.analysis import run_miss_sweep
-from repro.core.replay import get_numpy
-from repro.core.timing_kernels import backend_status
+from repro.core.timing_kernels import backend_status, get_backend
 from repro.core.tlb import Organization
 from repro.runner import JobSpec
 from repro.runner.summary import RunSummary
@@ -63,10 +61,10 @@ def comparable(summary) -> dict:
 
 
 def main() -> int:
-    kernels = "pure-python" if get_numpy() is None else "numpy"
+    engine = "scalar" if get_backend() is None else "compiled"
     status = backend_status()
-    print(f"sweep equivalence check ({kernels} kernels, "
-          f"compiled backend: {status})", flush=True)
+    print(f"sweep equivalence check ({engine} engine, "
+          f"backend: {status})", flush=True)
 
     failures = []
     checked = 0

@@ -14,10 +14,9 @@ must be bit-identical (total time, per-node breakdowns, all counters,
 TLB/DLB statistics, latency histograms); the only allowed difference
 is the ``backend`` tag itself.
 
-The check honours ``REPRO_NO_NUMPY`` and ``REPRO_NO_NUMBA``, so the CI
-matrix runs it against every kernel/backend combination.  When the
-compiled backend is unavailable (missing gcc/cffi, or ``REPRO_NO_NUMBA``
-set) both passes run scalar; the check then degrades to a determinism
+The check honours ``REPRO_NO_COMPILED``, so CI runs it on both
+engines.  When the compiled backend is unavailable (missing gcc/cffi,
+or ``REPRO_NO_COMPILED`` set) both passes run scalar; the check then degrades to a determinism
 check and says so — still worth running, but the compiled legs are the
 ones that prove the tentpole contract.
 """
@@ -31,9 +30,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import MachineParams, Scheme, make_workload
 from repro.analysis import run_timing
-from repro.core.replay import get_numpy
 from repro.core.schemes import SCHEME_ORDER
-from repro.core.timing_kernels import backend_status
+from repro.core.timing_kernels import backend_status, get_backend
 from repro.core.tlb import Organization
 from repro.runner.summary import RunSummary
 
@@ -56,10 +54,10 @@ def comparable(result) -> dict:
 
 
 def main() -> int:
-    kernels = "pure-python" if get_numpy() is None else "numpy"
+    engine = "scalar" if get_backend() is None else "compiled"
     status = backend_status()
-    print(f"timing equivalence check ({kernels} kernels, "
-          f"timing backend: {status})", flush=True)
+    print(f"timing equivalence check ({engine} engine, "
+          f"backend: {status})", flush=True)
 
     failures = []
     checked = 0

@@ -9,7 +9,7 @@ Two kinds of runs:
   batched sweeps normally run through the record-once/replay-many
   pipeline instead (:mod:`repro.system.taptrace`), which records the
   hierarchy's tap streams once and replays every bank configuration
-  from the recording with vectorized kernels — bit-identical miss
+  from the recording with the compiled bank kernel — bit-identical miss
   counts, a fraction of the wall clock.
 * **timing runs** (:func:`run_timing`) — coupled simulations where one
   real TLB/DLB charges its 40-cycle penalty.  Feeds Table 4 and

@@ -48,11 +48,11 @@ across worker processes (clamped to the CPU count), ``--cache-dir`` to
 relocate the persistent result cache, ``--no-cache`` to bypass it,
 ``--cache-max-mb`` to cap it with LRU eviction, ``--no-replay`` to
 force miss sweeps down the coupled scalar path instead of the
-record-once/replay-many pipeline, ``--no-fast-timing`` to force
-coupled timing runs onto the scalar reference engine instead of the
-compiled columnar fast path, and ``--no-fast-sweep`` to do the same
-for miss sweeps and trace captures (see ``docs/performance.md``; the
-``timing`` output's ``engine`` line reports which one ran).
+record-once/replay-many pipeline, and ``--no-compiled`` to run timing
+runs, miss sweeps, trace captures and bank replay on the scalar
+reference engines instead of the compiled engine (see
+``docs/performance.md``; the ``timing`` output's ``engine`` line
+reports which one ran).
 
 Grids run under the fault-tolerant supervisor (``docs/robustness.md``):
 ``--retries N`` retries transient failures with backoff, ``--timeout S``
@@ -103,6 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--paper-machine", action="store_true",
                        help="use the exact Section 5.1 configuration (slow)")
 
+    def add_engine_option(p):
+        p.add_argument("--no-compiled", action="store_true",
+                       help="run on the scalar reference engines instead "
+                            "of the compiled engine (bit-identical, much "
+                            "slower; sets REPRO_NO_COMPILED)")
+
     def add_runner_options(p):
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for independent simulations "
@@ -119,16 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run miss sweeps through the coupled scalar path "
                             "instead of the record/replay pipeline "
                             "(bit-identical, much slower)")
-        p.add_argument("--no-fast-timing", action="store_true",
-                       help="run coupled timing simulations on the scalar "
-                            "reference engine instead of the compiled "
-                            "columnar fast path (bit-identical, much "
-                            "slower; sets REPRO_NO_FAST_TIMING)")
-        p.add_argument("--no-fast-sweep", action="store_true",
-                       help="run miss sweeps and trace captures on the "
-                            "scalar reference engine instead of the "
-                            "compiled sweep fast path (bit-identical, "
-                            "much slower; sets REPRO_NO_FAST_SWEEP)")
+        add_engine_option(p)
         p.add_argument("--retries", type=int, default=0,
                        help="retry budget per job for transient failures "
                             "(I/O errors, corrupt traces, worker death, "
@@ -213,9 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write to a file instead of stdout")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="also record the protocol-event trace as JSONL")
-    p.add_argument("--no-fast-timing", action="store_true",
-                   help="force the scalar reference engine "
-                        "(sets REPRO_NO_FAST_TIMING)")
+    add_engine_option(p)
     add_machine_options(p)
 
     p = sub.add_parser("validate", help="check the paper's shape-claims on this configuration")
@@ -639,8 +634,8 @@ def _cmd_status(args, out) -> int:
 def _cmd_doctor(args, out) -> int:
     """Probe each backend tier, print the resolved degradation ladder.
 
-    Exit status 0 while any accelerated tier is healthy; nonzero when
-    the pure-Python last resort is all that's left (every run would
+    Exit status 0 while the compiled tier is healthy; nonzero when the
+    pure-Python last resort is all that's left (every run would
     silently crawl — that deserves a red CI light, not a footnote).
     """
     import json as json_mod
@@ -750,16 +745,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args, out) -> int:
-    if getattr(args, "no_fast_timing", False):
+    if getattr(args, "no_compiled", False):
         # Environment, not a parameter: the switch must reach worker
         # processes spawned by the batch runner too.
         import os
+        from repro.core.timing_kernels import NO_COMPILED_ENV
 
-        os.environ["REPRO_NO_FAST_TIMING"] = "1"
-    if getattr(args, "no_fast_sweep", False):
-        import os
-
-        os.environ["REPRO_NO_FAST_SWEEP"] = "1"
+        os.environ[NO_COMPILED_ENV] = "1"
 
     if args.command == "describe":
         out.write(machine_params(args).describe() + "\n")

@@ -504,7 +504,9 @@ static void tlb_free(Tlb *t) {
 /* TranslationBuffer.access: returns 1 on hit */
 static int tlb_access(Tlb *t, int64_t page) {
     t->accesses++;
-    int64_t set = (int64_t)(page % t->sets);
+    /* Unsigned modulo: equal to Python's for every page number below
+     * 2**64, and never a negative set index. */
+    int64_t set = (int64_t)((uint64_t)page % (uint64_t)t->sets);
     int64_t *ways = t->tags + set * t->assoc;
     int n = t->len[set];
     for (int i = 0; i < n; i++) {
@@ -1861,17 +1863,26 @@ void fs_shuffle_selftest(const uint32_t *state, int32_t *arr, int len) {
  * draw -- and therefore every miss count -- of the coupled scalar
  * run.  rng_state (625 words, random.Random layout) is read on entry
  * and overwritten with the post-run state; tags/lens receive the
- * final contents (sets*assoc / sets slots).  Returns the miss count,
- * or negative on allocation failure. */
+ * final contents (sets*assoc / sets slots).  pages holds n unsigned
+ * page numbers of `width` bytes each (4 or 8), so a recorded 'I' or
+ * 'Q' trace column is read in place.  Returns the miss count, or
+ * negative on allocation failure or a bad width. */
 int64_t fs_bank_run(int64_t entries, int64_t sets, int64_t assoc, uint32_t *rng_state,
-                    const int64_t *pages, int64_t n, int64_t *tags, int32_t *lens) {
+                    const void *pages, int width, int64_t n, int64_t *tags, int32_t *lens) {
+    if (width != 4 && width != 8) return FS_ERR_INTERNAL;
     Tlb t;
     if (tlb_init(&t, entries, sets, assoc)) {
         tlb_free(&t);
         return FS_ERR_INTERNAL;
     }
     mt_load(&t.rng, rng_state);
-    for (int64_t i = 0; i < n; i++) tlb_access(&t, pages[i]);
+    if (width == 4) {
+        const uint32_t *narrow = (const uint32_t *)pages;
+        for (int64_t i = 0; i < n; i++) tlb_access(&t, (int64_t)narrow[i]);
+    } else {
+        const int64_t *wide = (const int64_t *)pages;
+        for (int64_t i = 0; i < n; i++) tlb_access(&t, wide[i]);
+    }
     memcpy(tags, t.tags, (size_t)(sets * assoc) * sizeof(int64_t));
     memcpy(lens, t.len, (size_t)sets * sizeof(int32_t));
     memcpy(rng_state, t.rng.mt, MT_N * sizeof(uint32_t));

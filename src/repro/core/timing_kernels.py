@@ -15,15 +15,14 @@ oracle; every counter, breakdown, histogram, cache image, and RNG state
 the compiled engine produces is copied back bit-identically
 (``tests/integration/test_timing_equivalence.py``).
 
-Backend selection mirrors the replay kernels' ``REPRO_NO_NUMPY`` switch:
+Backend selection:
 
 * The C source is compiled on first use with the host ``gcc`` into a
   per-user cache directory (``$REPRO_FASTSIM_CACHE`` or
   ``~/.cache/repro-fastsim``), keyed by a source hash, and loaded
   through ``cffi``'s ABI mode — no ``Python.h`` or build system needed.
-* ``REPRO_NO_NUMBA`` (historical name, kept for symmetry with the issue
-  tracker) disables the compiled backend entirely; the simulator then
-  falls back to the scalar engine.
+* ``REPRO_NO_COMPILED`` disables the compiled backend entirely; timing
+  runs, sweeps, captures and bank replay then run on the scalar engines.
 * Missing ``cffi`` or ``gcc`` degrade the same way: ``get_backend()``
   returns ``None`` and :func:`backend_status` says why.
 """
@@ -41,13 +40,12 @@ from typing import Iterable, List, Optional, Tuple
 
 from collections import OrderedDict
 
-from repro.core.replay import get_numpy
 from repro.core.schemes import TapPoint
-from repro.system.refs import BARRIER
 
-#: Set non-empty to force the scalar timing engine even when the
-#: compiled backend would load (CI matrix + equivalence tests).
-NO_NUMBA_ENV = "REPRO_NO_NUMBA"
+#: Set non-empty to force the scalar engines even when the compiled
+#: backend would load (CLI ``--no-compiled``; CI matrix + equivalence
+#: tests).
+NO_COMPILED_ENV = "REPRO_NO_COMPILED"
 
 #: Override the shared-library cache directory.
 CACHE_ENV = "REPRO_FASTSIM_CACHE"
@@ -105,7 +103,7 @@ int fs_set_capture(FastSim *s, int enable);
 int64_t fs_cap_count(FastSim *s, int tap, int node);
 const int64_t *fs_cap_data(FastSim *s, int tap, int node);
 int64_t fs_bank_run(int64_t entries, int64_t sets, int64_t assoc, uint32_t *rng_state,
-                    const int64_t *pages, int64_t n, int64_t *tags, int32_t *lens);
+                    const void *pages, int width, int64_t n, int64_t *tags, int32_t *lens);
 int64_t fs_trace_render(const char *stream, int64_t nbytes,
                         const int32_t *nslots, const int32_t *kind_off,
                         const char *kinds,
@@ -465,7 +463,7 @@ def get_backend() -> Optional[CompiledBackend]:
     — while the expensive compile/dlopen resolution is cached for the
     process lifetime.
     """
-    if os.environ.get(NO_NUMBA_ENV):
+    if os.environ.get(NO_COMPILED_ENV):
         return None
     if not _backend_resolved:
         _resolve_backend()
@@ -474,8 +472,8 @@ def get_backend() -> Optional[CompiledBackend]:
 
 def backend_status() -> str:
     """Human-readable availability: "compiled" or a fallback reason."""
-    if os.environ.get(NO_NUMBA_ENV):
-        return f"disabled ({NO_NUMBA_ENV})"
+    if os.environ.get(NO_COMPILED_ENV):
+        return f"disabled ({NO_COMPILED_ENV})"
     if not _backend_resolved:
         _resolve_backend()
     if _backend is not None:
@@ -496,7 +494,7 @@ def backend_health() -> dict:
         "cflags": build_flags(),
         "quarantined_libraries": _quarantined_libraries,
     }
-    if _backend is not None and not os.environ.get(NO_NUMBA_ENV):
+    if _backend is not None and not os.environ.get(NO_COMPILED_ENV):
         info["path"] = _backend.path
         info["digest"] = _backend.digest
     return info
@@ -510,11 +508,10 @@ def backend_health() -> dict:
 def materialize_stream(stream: Iterable[Tuple[int, int]]):
     """Drain one node's ``(op, value)`` stream into columnar arrays.
 
-    Returns ``(ops, values)`` — a ``uint8`` opcode column and an
-    ``int64`` value column, numpy arrays when available and
-    ``array.array`` otherwise.  Both expose the buffer protocol, so the
-    compiled backend ingests either via ``ffi.from_buffer`` with no
-    copies beyond this one materialization pass.
+    Returns ``(ops, values)`` — an ``array("B")`` opcode column and an
+    ``array("q")`` value column.  The compiled backend reads both in
+    place via ``ffi.from_buffer``, with no copies beyond this one
+    materialization pass.
     """
     ops_list: List[int] = []
     vals_list: List[int] = []
@@ -523,12 +520,6 @@ def materialize_stream(stream: Iterable[Tuple[int, int]]):
     for op, value in stream:
         append_op(op)
         append_val(value)
-    numpy = get_numpy()
-    if numpy is not None:
-        count = len(ops_list)
-        ops = numpy.fromiter(ops_list, dtype=numpy.uint8, count=count)
-        vals = numpy.fromiter(vals_list, dtype=numpy.int64, count=count)
-        return ops, vals
     return array.array("B", ops_list), array.array("q", vals_list)
 
 
@@ -548,11 +539,9 @@ class StreamCache:
     A sweep/timing grid varies scheme, TLB/DLB geometry, and page size
     across cells, but every cell of the same workload drains the *same*
     reference stream — regeneration per cell is pure waste.  Columns are
-    therefore keyed by ``(stream_key, node, kind)`` where ``stream_key``
+    therefore keyed by ``(stream_key, node)`` where ``stream_key``
     identifies the workload recipe (``JobSpec.trace_hash()`` in grid
-    runs — the spec identity *minus* bank sizes/orgs and timing knobs)
-    and ``kind`` is the materialization flavor (numpy vs ``array``, so a
-    ``REPRO_NO_NUMPY`` flip never serves the wrong representation).
+    runs — the spec identity *minus* bank sizes/orgs and timing knobs).
 
     Consumers treat cached columns as immutable — the compiled engine
     only ever reads them (``const`` columns in C), and the scalar path
@@ -655,60 +644,13 @@ def materialize_shared(stream_key, node: int, stream_factory):
     """
     if stream_key is None:
         return materialize_stream(stream_factory())
-    kind = "numpy" if get_numpy() is not None else "array"
-    key = (stream_key, node, kind)
+    key = (stream_key, node)
     columns = _stream_cache.get(key)
     if columns is not None:
         return columns
     columns = materialize_stream(stream_factory())
     _stream_cache.put(key, columns)
     return columns
-
-
-def sync_positions(ops) -> List[int]:
-    """Indices of synchronization opcodes in a columnar op stream."""
-    numpy = get_numpy()
-    if numpy is not None:
-        arr = numpy.asarray(ops, dtype=numpy.uint8)
-        return [int(i) for i in numpy.flatnonzero(arr >= BARRIER)]
-    return [i for i, op in enumerate(ops) if op >= BARRIER]
-
-
-#: Epoch boundary markers for :func:`epoch_spans`.
-EPOCH_END = -1  # stream ran out
-EPOCH_TRUNCATED = -2  # max_refs_per_node cut the stream short
-
-
-def epoch_spans(ops, max_refs: Optional[int] = None) -> List[Tuple[int, int, int]]:
-    """Split a columnar op stream into memory-reference epochs.
-
-    Returns ``(start, stop, boundary)`` triples: ``ops[start:stop]`` are
-    the memory references of one epoch and ``boundary`` is the index of
-    the terminating sync op, :data:`EPOCH_END` when the stream ran out,
-    or :data:`EPOCH_TRUNCATED` when ``max_refs`` memory references were
-    reached first.  Only memory references count toward ``max_refs``,
-    matching the scalar simulator's ``refs_done`` accounting; a sync op
-    sitting exactly at the truncation point is *not* executed (the
-    simulator finishes the node before consuming it).
-    """
-    spans: List[Tuple[int, int, int]] = []
-    total = len(ops)
-    done = 0
-    start = 0
-    for idx in sync_positions(ops):
-        refs_here = idx - start
-        if max_refs is not None and done + refs_here >= max_refs:
-            spans.append((start, start + (max_refs - done), EPOCH_TRUNCATED))
-            return spans
-        done += refs_here
-        spans.append((start, idx, idx))
-        start = idx + 1
-    refs_here = total - start
-    if max_refs is not None and done + refs_here > max_refs:
-        spans.append((start, start + (max_refs - done), EPOCH_TRUNCATED))
-    else:
-        spans.append((start, total, EPOCH_END))
-    return spans
 
 
 # ---------------------------------------------------------------------------

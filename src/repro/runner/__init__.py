@@ -39,7 +39,7 @@ Sweep jobs additionally run through a record-once/replay-many pipeline
 (see :mod:`repro.system.taptrace` and ``docs/performance.md``): the
 hierarchy simulation is recorded as per-tap page streams — persisted by
 :class:`TraceStore` — and every TLB/DLB bank configuration is replayed
-from the recording with vectorized kernels, bit-identical to the
+from the recording by the compiled bank kernel, bit-identical to the
 coupled reference path.
 """
 

@@ -40,13 +40,6 @@ from repro.core.tlb import Organization
 from repro.system.refs import BARRIER, LOCK, UNLOCK
 from repro.system.results import RunResult
 
-#: Set non-empty to force the scalar engine (CLI ``--no-fast-timing``).
-NO_FAST_ENV = "REPRO_NO_FAST_TIMING"
-
-#: Set non-empty to force the scalar engine for uncoupled sweep/capture
-#: runs (CLI ``--no-fast-sweep``).
-NO_FAST_SWEEP_ENV = "REPRO_NO_FAST_SWEEP"
-
 _TAP_CODE = {
     TapPoint.L0: tk.TAP_L0,
     TapPoint.L1: tk.TAP_L1,
@@ -83,13 +76,9 @@ def fallback_reason(simulator) -> Optional[str]:
     from repro.system.machine import Machine
     from repro.system.taps import TimingAgent
 
+    if os.environ.get(tk.NO_COMPILED_ENV):
+        return f"disabled ({tk.NO_COMPILED_ENV})"
     machine = simulator.machine
-    sweep_agent = _is_sweep_agent(machine.agent)
-    if sweep_agent:
-        if os.environ.get(NO_FAST_SWEEP_ENV):
-            return f"disabled ({NO_FAST_SWEEP_ENV})"
-    elif os.environ.get(NO_FAST_ENV):
-        return f"disabled ({NO_FAST_ENV})"
     if type(machine) is not Machine:
         return f"custom machine type {type(machine).__name__}"
     if not machine.preload_pending:
@@ -121,7 +110,7 @@ def fallback_reason(simulator) -> Optional[str]:
             Organization.DIRECT_MAPPED,
         ):
             return f"unsupported TLB organization {agent.organization.value}"
-    elif not sweep_agent and type(agent) is not TranslationAgent:
+    elif not _is_sweep_agent(agent) and type(agent) is not TranslationAgent:
         return f"unsupported agent {type(agent).__name__}"
     if tk.get_backend() is None:
         return f"compiled backend unavailable: {tk.backend_status()}"
@@ -593,7 +582,7 @@ def _run_bank(ffi, lib, buffer, pages, length: int) -> tuple:
     lens, lens_out = _out(ffi, "int32_t", buffer.sets)
     rng_out = ffi.from_buffer("uint32_t[]", rng_words)
     misses = int(lib.fs_bank_run(buffer.entries, buffer.sets, buffer.assoc, rng_out,
-                                 pages, length, tags_out, lens_out))
+                                 pages, 8, length, tags_out, lens_out))
     if misses < 0:
         raise MemoryError("fast sweep engine: bank allocation failed")
     buffer.misses += misses

@@ -13,7 +13,7 @@ study.  This module splits that work in two:
   hierarchy-side :class:`~repro.runner.summary.RunSummary` (time
   breakdowns, counters — none of which depend on bank configuration).
 * :func:`replay_study` drives banks of **any** sizes/organizations from
-  those recorded streams through the vectorized kernels of
+  those recorded streams through the bank replay of
   :mod:`repro.core.replay`, producing a
   :class:`~repro.system.taps.StudyResults` bit-identical to a coupled
   :class:`StudyAgent` run with the same configuration.
@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.errors import ReproError
 from repro.common.params import MachineParams
 from repro.coma.protocol import TranslationAgent
-from repro.core.replay import ReplayStream, bank_miss_counts
+from repro.core.replay import bank_miss_counts
 from repro.core.schemes import Scheme, TapPoint
 from repro.core.tlb import Organization
 from repro.system.taps import StudyResults
@@ -341,13 +341,7 @@ def replay_study(
         for node in range(traces.nodes):
             column = traces.stream(tap, node)
             tap_accesses += len(column)
-            counts = bank_miss_counts(
-                column,
-                configs,
-                traces.seed,
-                f"{tap.value}:{node}",
-                stream=ReplayStream(column),
-            )
+            counts = bank_miss_counts(column, configs, traces.seed, f"{tap.value}:{node}")
             for config, count in counts.items():
                 totals[config] += count
         accesses[tap] = tap_accesses

@@ -9,11 +9,10 @@ image itself (cache/AM sets in LRU order, directory entries, every
 TLB/DLB bank's tag state and Mersenne Twister position, counters,
 latency histograms) — matches the scalar :class:`StudyAgent` run, which
 is retained purely as the differential-testing oracle behind
-``fast=False`` / ``REPRO_NO_FAST_SWEEP``.
+``fast=False`` / ``REPRO_NO_COMPILED``.
 
-The matrix also covers the degraded environments (``REPRO_NO_NUMPY``
-columns, ``REPRO_NO_NUMBA`` full fallback) and both sides of the
-record/replay split: replayed grids (``JobSpec.execute(replay=True)``,
+The matrix also covers the scalar fallback (``REPRO_NO_COMPILED``) and
+both sides of the record/replay split: replayed grids (``JobSpec.execute(replay=True)``,
 whose captures now also ride the compiled engine) must keep matching
 the coupled scalar sweep.
 """
@@ -22,13 +21,11 @@ import pytest
 
 from repro import MachineParams, make_workload
 from repro.analysis import run_miss_sweep
-from repro.core.replay import NO_NUMPY_ENV, get_numpy
 from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
-from repro.core.timing_kernels import NO_NUMBA_ENV, get_backend
+from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.tlb import Organization
 from repro.runner import JobSpec
 from repro.runner.summary import RunSummary
-from repro.system.fast_simulator import NO_FAST_SWEEP_ENV
 
 pytestmark = pytest.mark.skipif(
     get_backend() is None, reason="compiled backend unavailable"
@@ -197,12 +194,12 @@ def make_spec(params, workload="radix"):
 
 
 class TestReplayMatrix:
-    """replay-on/off × numpy/no-numpy/no-numba against one oracle."""
+    """replay-on/off × compiled/no-compiled against one oracle."""
 
     @pytest.fixture(scope="class")
     def scalar_oracle(self, params):
         monkeypatch = pytest.MonkeyPatch()
-        monkeypatch.setenv(NO_FAST_SWEEP_ENV, "1")
+        monkeypatch.setenv(NO_COMPILED_ENV, "1")
         try:
             return make_spec(params).execute(replay=False)
         finally:
@@ -211,12 +208,10 @@ class TestReplayMatrix:
     @pytest.mark.parametrize("replay", [True, False], ids=["replay", "coupled"])
     @pytest.mark.parametrize(
         "env",
-        [None, NO_NUMPY_ENV, NO_NUMBA_ENV],
-        ids=["numpy", "no-numpy", "no-numba"],
+        [None, NO_COMPILED_ENV],
+        ids=["compiled", "no-compiled"],
     )
     def test_matrix_cell(self, params, scalar_oracle, replay, env, monkeypatch):
-        if env == NO_NUMPY_ENV and get_numpy() is None:
-            pytest.skip("numpy unavailable in this environment")
         if env is not None:
             monkeypatch.setenv(env, "1")
         summary = make_spec(params).execute(replay=replay)
@@ -235,29 +230,13 @@ class TestReplayMatrix:
 
 
 class TestFallbacks:
-    def test_no_fast_sweep_env(self, params, monkeypatch):
-        monkeypatch.setenv(NO_FAST_SWEEP_ENV, "1")
+    def test_no_compiled_falls_back_scalar(self, params, monkeypatch):
+        monkeypatch.setenv(NO_COMPILED_ENV, "1")
         result = run_miss_sweep(
             params, make_workload("radix", intensity=0.2), max_refs_per_node=200
         )
         assert result.backend == "scalar"
-        assert NO_FAST_SWEEP_ENV in result.fallback_reason
-
-    def test_no_fast_timing_env_does_not_gate_sweeps(self, params, monkeypatch):
-        """The timing switch must leave sweep runs on the fast path."""
-        monkeypatch.setenv("REPRO_NO_FAST_TIMING", "1")
-        result = run_miss_sweep(
-            params, make_workload("radix", intensity=0.2), max_refs_per_node=200
-        )
-        assert result.backend == "compiled"
-
-    def test_no_numba_falls_back_scalar(self, params, monkeypatch):
-        monkeypatch.setenv(NO_NUMBA_ENV, "1")
-        result = run_miss_sweep(
-            params, make_workload("radix", intensity=0.2), max_refs_per_node=200
-        )
-        assert result.backend == "scalar"
-        assert "compiled backend unavailable" in result.fallback_reason
+        assert result.fallback_reason == f"disabled ({NO_COMPILED_ENV})"
 
     def test_tracer_forces_scalar(self, params, tmp_path):
         from repro.obs import Tracer

@@ -12,19 +12,16 @@ contention, truncation mid-critical-section hand control back to Python
 sync policy), so RAYTRACE's lock-heavy streams and hand-built
 barrier-imbalanced streams are first-class cases here.
 
-The matrix also covers the degraded environments: the columnar
-materialization without numpy (``REPRO_NO_NUMPY``) and the full
-scalar fallback with the compiled backend disabled (``REPRO_NO_NUMBA``)
-must produce the same numbers again.
+The scalar fallback with the compiled backend disabled
+(``REPRO_NO_COMPILED``) must produce the same numbers again.
 """
 
 import pytest
 
 from repro import CustomWorkload, MachineParams, Scheme, SegmentSpec, Simulator, make_workload
 from repro.analysis import run_timing
-from repro.core.replay import NO_NUMPY_ENV, get_numpy
 from repro.core.schemes import SCHEME_ORDER
-from repro.core.timing_kernels import NO_NUMBA_ENV, get_backend
+from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.tlb import Organization
 from repro.runner.summary import RunSummary
 from repro.system.machine import Machine
@@ -218,10 +215,8 @@ class TestBackendMatrix:
             make_workload("raytrace", intensity=0.5), 8, fast=False,
         )
 
-    @pytest.mark.skipif(get_numpy() is None, reason="numpy unavailable")
-    def test_no_numpy_materialization(self, params, scalar_reference, monkeypatch):
-        """array.array columns feed the engine identically to numpy's."""
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
+    def test_compiled_matches_scalar(self, params, scalar_reference):
+        """The default engine: array.array columns fed to C."""
         fast = run_timing(
             params, Scheme.V_COMA,
             make_workload("raytrace", intensity=0.5), 8,
@@ -229,25 +224,17 @@ class TestBackendMatrix:
         assert fast.backend == "compiled"
         assert summary_surface(fast) == summary_surface(scalar_reference)
 
-    def test_no_numba_falls_back_scalar(self, params, scalar_reference, monkeypatch):
-        """REPRO_NO_NUMBA disables the backend; results don't change."""
-        monkeypatch.setenv(NO_NUMBA_ENV, "1")
+    def test_no_compiled_falls_back_scalar(self, params, scalar_reference, monkeypatch):
+        """REPRO_NO_COMPILED (the CLI's --no-compiled) forces the
+        oracle; results don't change."""
+        monkeypatch.setenv(NO_COMPILED_ENV, "1")
         result = run_timing(
             params, Scheme.V_COMA,
             make_workload("raytrace", intensity=0.5), 8,
         )
         assert result.backend == "scalar"
-        assert "compiled backend unavailable" in result.fallback_reason
+        assert result.fallback_reason == f"disabled ({NO_COMPILED_ENV})"
         assert summary_surface(result) == summary_surface(scalar_reference)
-
-    def test_no_fast_timing_env(self, params, monkeypatch):
-        """The CLI escape hatch forces the oracle."""
-        monkeypatch.setenv("REPRO_NO_FAST_TIMING", "1")
-        result = run_timing(
-            params, Scheme.V_COMA, make_workload("radix", intensity=0.2), 8,
-        )
-        assert result.backend == "scalar"
-        assert "REPRO_NO_FAST_TIMING" in result.fallback_reason
 
 
 class TestBackendReporting:

@@ -1,7 +1,7 @@
 """The supervised degradation ladder and fallback provenance.
 
 Forcing any compiled-engine failure the oracle can recover from — an
-injected C OOM, a build failure, ``REPRO_NO_NUMBA`` — must yield a
+injected C OOM, a build failure, ``REPRO_NO_COMPILED`` — must yield a
 bit-identical scalar result with a structured ``fallback_reason``,
 never a crash, and the reason must survive the whole provenance chain:
 ``RunResult`` → ``RunSummary`` → cache round trip → ``GridStats``.
@@ -102,14 +102,14 @@ class TestDegradationPaths:
             run_once()
         assert fallback_counts() == {"compiled": 2}
 
-    def test_no_numba_reason_survives_cache_round_trip(self, params, monkeypatch):
-        monkeypatch.setenv(tk.NO_NUMBA_ENV, "1")
+    def test_no_compiled_reason_survives_cache_round_trip(self, params, monkeypatch):
+        monkeypatch.setenv(tk.NO_COMPILED_ENV, "1")
         result = run_timing(
             params, Scheme.V_COMA, make_workload("radix", intensity=0.2), 8,
             max_refs_per_node=100,
         )
         assert result.backend == "scalar"
-        assert "compiled backend unavailable" in result.fallback_reason
+        assert result.fallback_reason == f"disabled ({tk.NO_COMPILED_ENV})"
         summary = RunSummary.from_result(result)
         again = RunSummary.from_dict(summary.to_dict())
         assert again.fallback_reason == result.fallback_reason
@@ -178,9 +178,9 @@ class TestDegradationPaths:
 # the ladder itself
 # ----------------------------------------------------------------------
 class TestLadder:
-    def test_three_tiers_in_order(self):
+    def test_two_tiers_in_order(self):
         ladder = degradation_ladder()
-        assert [tier.tier for tier in ladder] == ["compiled", "numpy", "scalar"]
+        assert [tier.tier for tier in ladder] == ["compiled", "scalar"]
         assert ladder[-1].healthy  # scalar is unconditional
 
     def test_resolved_tier_prefers_compiled(self):
@@ -188,10 +188,7 @@ class TestLadder:
         assert not only_last_resort()
 
     def test_only_last_resort_when_everything_disabled(self, monkeypatch):
-        monkeypatch.setenv(tk.NO_NUMBA_ENV, "1")
-        from repro.core.replay import NO_NUMPY_ENV
-
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
+        monkeypatch.setenv(tk.NO_COMPILED_ENV, "1")
         ladder = degradation_ladder()
         assert only_last_resort(ladder)
         assert resolved_tier(ladder).tier == "scalar"

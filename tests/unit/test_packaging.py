@@ -29,7 +29,9 @@ def test_version_comes_from_the_package(project):
 
 
 def test_numpy_is_optional(project):
-    """Every numpy path has a fallback, so numpy is an extra."""
-    mandatory = project["project"].get("dependencies", [])
-    assert not any(dep.split()[0].lower().startswith("numpy") for dep in mandatory)
-    assert "numpy" in project["project"]["optional-dependencies"]["numpy"]
+    """No engine uses numpy: it is neither a dependency nor an extra."""
+    declared = list(project["project"].get("dependencies", []))
+    for extra in project["project"].get("optional-dependencies", {}).values():
+        declared.extend(extra)
+    assert not any(dep.split()[0].lower().startswith("numpy") for dep in declared)
+    assert "numpy" not in project["project"].get("optional-dependencies", {})

@@ -1,20 +1,23 @@
-"""Unit tests for the vectorized replay kernels.
+"""Unit tests for bank replay over recorded page streams.
 
-The replay contract is *bit-identical miss counts* with the scalar
-:class:`~repro.core.tlb.TranslationBuffer` — same RNG substreams, same
-rejection-sampling victim draws — for every organization, with and
-without numpy.  Every test here checks the fast kernels against the
-scalar reference on the same stream.
+The replay contract is *bit-identical miss counts and RNG end states*
+with the scalar :class:`~repro.core.tlb.TranslationBuffer` — same RNG
+substreams, same rejection-sampling victim draws — for every
+organization, on the compiled ``fs_bank_run`` kernel and on the scalar
+path.  Every test here checks replay against a real buffer fed the
+same stream.
 """
 
 import random
+from array import array
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
 from repro.core import replay
-from repro.core.replay import NO_NUMPY_ENV, ReplayStream, bank_miss_counts, get_numpy
+from repro.core.replay import bank_miss_counts
+from repro.core.timing_kernels import NO_COMPILED_ENV, backend_status, get_backend
 from repro.core.tlb import Organization, TranslationBank, TranslationBuffer
 
 ORGS = (
@@ -24,8 +27,8 @@ ORGS = (
 )
 
 
-def scalar_misses(pages, entries, org, seed=7, name="bank"):
-    """Reference miss count: feed the stream to a real buffer."""
+def reference_buffer(pages, entries, org, seed=7, name="bank"):
+    """A real buffer fed the stream: the reference miss count and RNG."""
     assoc = None
     if org is Organization.SET_ASSOCIATIVE:
         assoc = min(TranslationBank.SET_ASSOC_WAYS, entries)
@@ -33,12 +36,16 @@ def scalar_misses(pages, entries, org, seed=7, name="bank"):
     buffer = TranslationBuffer(entries, org, assoc=assoc, rng=rng)
     for page in pages:
         buffer.access(page)
-    return buffer.misses
+    return buffer
+
+
+def scalar_misses(pages, entries, org, seed=7, name="bank"):
+    return reference_buffer(pages, entries, org, seed, name).misses
 
 
 def replay_misses(pages, entries, org, seed=7, name="bank"):
     rng = make_rng(seed, name, entries, org.value)
-    return ReplayStream(pages).misses(entries, org, rng)
+    return replay.replay_misses(pages, entries, org, rng)
 
 
 def streams():
@@ -68,15 +75,12 @@ class TestKernelEquivalence:
             assert fast == slow, (label, org.value, entries)
 
     def test_stream_reuse_across_configs(self):
-        """One ReplayStream replays many configs without cross-talk."""
-        pages = streams()["phase-shift"]
-        stream = ReplayStream(pages)
-        for org in ORGS:
-            for entries in (8, 32):
-                rng = make_rng(7, "bank", entries, org.value)
-                assert stream.misses(entries, org, rng) == scalar_misses(
-                    pages, entries, org
-                )
+        """One column replays many configs without cross-talk."""
+        pages = array("I", streams()["phase-shift"])
+        configs = [(entries, org) for org in ORGS for entries in (8, 32)]
+        counts = bank_miss_counts(pages, configs, seed=7, name="bank")
+        for entries, org in configs:
+            assert counts[(entries, org)] == scalar_misses(pages, entries, org)
 
     def test_matches_translation_bank(self):
         """End-to-end: bank_miss_counts vs a live TranslationBank."""
@@ -96,34 +100,55 @@ class TestKernelEquivalence:
             replay_misses([1, 2, 3], 12, Organization.FULLY_ASSOCIATIVE)
 
 
-class TestNumpyGate:
-    def test_env_var_disables_numpy(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        monkeypatch.setattr(replay, "_numpy_module", None)
-        assert get_numpy() is None
-        monkeypatch.delenv(NO_NUMPY_ENV)
-        monkeypatch.setattr(replay, "_numpy_module", None)
-        get_numpy()  # either numpy or None; must not raise
+#: Trace-column layouts ``fs_bank_run`` reads (4- and 8-byte unsigned
+#: columns in place, anything else after one conversion).
+COLUMNS = {
+    "I": lambda pages: array("I", pages),
+    "Q-wide": lambda pages: array("Q", [page + (5 << 32) for page in pages]),
+    "list": list,
+}
 
+
+class TestCompiledVsScalar:
+    """The compiled bank kernel and the scalar path, each against a
+    live TranslationBuffer: equal miss counts and RNG end states."""
+
+    @pytest.fixture(params=["compiled", "scalar"])
+    def engine(self, request, monkeypatch):
+        if request.param == "compiled":
+            if get_backend() is None:
+                pytest.skip(f"compiled backend unavailable: {backend_status()}")
+        else:
+            monkeypatch.setenv(NO_COMPILED_ENV, "1")
+        return request.param
+
+    @pytest.mark.parametrize("column", sorted(COLUMNS))
     @pytest.mark.parametrize("org", ORGS, ids=lambda o: o.value)
-    def test_fallback_matches_scalar(self, org, monkeypatch):
-        """With numpy gated off, the pure-Python path still agrees."""
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        monkeypatch.setattr(replay, "_numpy_module", None)
-        pages = streams()["cyclic"]
-        assert replay_misses(pages, 8, org) == scalar_misses(pages, 8, org)
+    @pytest.mark.parametrize("entries", (1, 8, 64))
+    def test_matches_buffer_and_rng(self, engine, column, org, entries):
+        base = [p % 300 for p in streams()["wide-random"]]
+        pages = COLUMNS[column](base)
+        rng = make_rng(7, "bank", entries, org.value)
+        misses = replay.replay_misses(pages, entries, org, rng)
+        reference = reference_buffer(list(pages), entries, org)
+        assert misses == reference.misses
+        assert rng.getstate() == reference._rng.getstate()
 
-    def test_numpy_and_fallback_agree(self, monkeypatch):
-        if get_numpy() is None:
-            pytest.skip("numpy unavailable in this environment")
-        pages = streams()["wide-random"]
-        with_numpy = {
-            org: replay_misses(pages, 32, org) for org in ORGS
-        }
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        monkeypatch.setattr(replay, "_numpy_module", None)
-        without = {org: replay_misses(pages, 32, org) for org in ORGS}
-        assert with_numpy == without
+    def test_env_forces_scalar(self, monkeypatch):
+        monkeypatch.setenv(NO_COMPILED_ENV, "1")
+        calls = []
+        monkeypatch.setattr(replay, "_scalar_misses", lambda *args: calls.append(args) or 0)
+        replay.replay_misses([1, 2, 3], 8, Organization.FULLY_ASSOCIATIVE, make_rng(7, "bank"))
+        assert len(calls) == 1
+
+    def test_recorded_columns_read_in_place(self):
+        """'I' and 'Q' columns reach fs_bank_run without a copy."""
+        for typecode, width in (("I", 4), ("Q", 8)):
+            pages = array(typecode, range(100))
+            column, got_width = replay._page_column(pages)
+            assert column is pages and got_width == width
+        column, width = replay._page_column([3, 1 << 40])
+        assert (column.typecode, width, list(column)) == ("Q", 8, [3, 1 << 40])
 
 
 class TestBankMissCounts:

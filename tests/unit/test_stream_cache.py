@@ -18,6 +18,7 @@ from repro import MachineParams
 from repro.core.timing_kernels import (
     STREAM_CACHE_ENV,
     StreamCache,
+    get_backend,
     materialize_shared,
     stream_cache,
 )
@@ -174,6 +175,9 @@ class TestKeyedByWorkloadNotGridCell:
             != base.trace_hash()
         )
 
+    @pytest.mark.skipif(
+        get_backend() is None, reason="only the compiled engine materializes streams"
+    )
     def test_grid_materializes_each_workload_stream_once(self, params):
         """Three bank grids over one workload: one materialization per
         node, the rest are LRU hits."""

@@ -1,12 +1,13 @@
 """Unit tests for the columnar timing-kernel helpers.
 
-The epoch slicer is the contract between the Python driver and the
-compiled engine: ``max_refs_per_node`` truncation must land on exactly
-the reference the scalar simulator would have stopped at, and a sync
-op sitting exactly at the truncation point must NOT be executed (the
+Epoch boundaries are the contract between the Python sync driver and
+the compiled engine, which slices each node's columns into epochs
+itself: ``max_refs_per_node`` truncation must land on exactly the
+reference the scalar simulator would have stopped at, and a sync op
+sitting exactly at the truncation point must NOT be executed (the
 scalar loop checks ``refs_done`` before consuming the sync).  Getting
 any of these boundaries wrong shifts every downstream barrier/lock
-interaction, so they get exhaustive coverage here, independent of the
+interaction, so each one runs here on both engines, independent of the
 heavyweight differential suite.
 """
 
@@ -15,107 +16,123 @@ import random
 
 import pytest
 
-from repro.core.replay import NO_NUMPY_ENV, get_numpy
+from repro import CustomWorkload, MachineParams, Scheme, SegmentSpec, Simulator
 from repro.core.timing_kernels import (
-    EPOCH_END,
-    EPOCH_TRUNCATED,
     RNG_STATE_WORDS,
     backend_status,
-    epoch_spans,
     get_backend,
     load_rng_state,
     materialize_stream,
     rng_state_words,
-    sync_positions,
 )
+from repro.runner.summary import RunSummary
+from repro.system.machine import Machine
 from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
 
 R, W, B, L, U = READ, WRITE, BARRIER, LOCK, UNLOCK
 
+needs_backend = pytest.mark.skipif(
+    get_backend() is None, reason=f"compiled backend unavailable: {backend_status()}"
+)
 
+
+def _node0_machine(ops):
+    """A 4-node machine where node 0 runs ``ops`` and the rest are idle
+    (a finished node satisfies every barrier).  References touch
+    distinct blocks, barriers count up, locks use word 0."""
+    params = MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
+    stream = []
+    for i, op in enumerate(ops):
+        if op in (R, W):
+            stream.append((op, 64 * i))
+        elif op == B:
+            stream.append((op, sum(o == B for o in ops[:i])))
+        else:
+            stream.append((op, 0))
+
+    def factory(node, ctx):
+        base = ctx.segment("data").base
+        for op, value in stream if node == 0 else ():
+            yield op, value + base if op != B else value
+
+    workload = CustomWorkload(
+        [SegmentSpec("data", 32 * params.page_size)], factory, name="epochs"
+    )
+    return Machine(params, Scheme.V_COMA, workload)
+
+
+def run_epochs(ops, max_refs=None, stream_key=None):
+    """Run node 0's ``ops`` on the compiled engine and the scalar
+    oracle; assert identical summaries and return the compiled run's
+    ``(references done by node 0, barriers passed)``."""
+    fast = Simulator(
+        _node0_machine(ops), max_refs_per_node=max_refs, stream_key=stream_key
+    ).run()
+    scalar = Simulator(_node0_machine(ops), max_refs_per_node=max_refs, fast=False).run()
+    assert fast.backend == "compiled"
+    fast_summary = RunSummary.from_result(fast).to_dict()
+    scalar_summary = RunSummary.from_result(scalar).to_dict()
+    for summary in (fast_summary, scalar_summary):
+        summary.pop("backend")
+        summary.pop("fallback_reason")
+    assert fast_summary == scalar_summary
+    return fast.refs_per_node[0], fast.barriers
+
+
+@needs_backend
 class TestEpochSpans:
     def test_no_syncs(self):
-        assert epoch_spans([R, W, R]) == [(0, 3, EPOCH_END)]
+        assert run_epochs([R, W, R]) == (3, 0)
 
     def test_empty_stream(self):
-        assert epoch_spans([]) == [(0, 0, EPOCH_END)]
+        assert run_epochs([]) == (0, 0)
 
     def test_sync_at_start(self):
-        assert epoch_spans([B, R, R]) == [(0, 0, 0), (1, 3, EPOCH_END)]
+        assert run_epochs([B, R, R]) == (2, 1)
 
     def test_sync_at_end(self):
-        assert epoch_spans([R, R, B]) == [(0, 2, 2), (3, 3, EPOCH_END)]
+        assert run_epochs([R, R, B]) == (2, 1)
 
     def test_adjacent_syncs(self):
-        assert epoch_spans([R, B, L, W, U]) == [
-            (0, 1, 1),
-            (2, 2, 2),
-            (3, 4, 4),
-            (5, 5, EPOCH_END),
-        ]
+        assert run_epochs([R, B, L, W, U]) == (2, 1)
 
     def test_truncation_before_first_sync(self):
-        assert epoch_spans([R, R, R, B, R], max_refs=2) == [(0, 2, EPOCH_TRUNCATED)]
+        assert run_epochs([R, R, R, B, R], max_refs=2) == (2, 0)
 
     def test_truncation_exactly_at_sync(self):
         # 2 refs then a barrier: with max_refs=2 the barrier is NOT
         # executed — the scalar loop finishes the node before consuming
-        # the sync op, so the span must say TRUNCATED, not boundary=2.
-        assert epoch_spans([R, W, B, R], max_refs=2) == [(0, 2, EPOCH_TRUNCATED)]
+        # the sync op.
+        assert run_epochs([R, W, B, R], max_refs=2) == (2, 0)
 
     def test_truncation_spanning_epochs(self):
         # 1 ref, barrier, then the cut lands inside the second epoch.
-        assert epoch_spans([R, B, W, W, W], max_refs=2) == [
-            (0, 1, 1),
-            (2, 3, EPOCH_TRUNCATED),
-        ]
+        assert run_epochs([R, B, W, W, W], max_refs=2) == (2, 1)
 
     def test_truncation_exactly_at_stream_end(self):
         # max_refs equals the total reference count: the node finishes
-        # naturally — EPOCH_END, not TRUNCATED.
-        assert epoch_spans([R, W, R], max_refs=3) == [(0, 3, EPOCH_END)]
+        # naturally.
+        assert run_epochs([R, W, R], max_refs=3) == (3, 0)
 
     def test_truncation_exactly_at_stream_end_after_sync(self):
-        assert epoch_spans([R, B, W], max_refs=2) == [
-            (0, 1, 1),
-            (2, 3, EPOCH_END),
-        ]
+        assert run_epochs([R, B, W], max_refs=2) == (2, 1)
 
     def test_truncation_one_past_stream_end(self):
-        assert epoch_spans([R, W], max_refs=5) == [(0, 2, EPOCH_END)]
+        assert run_epochs([R, W], max_refs=5) == (2, 0)
 
     def test_max_refs_zero(self):
-        assert epoch_spans([R, W], max_refs=0) == [(0, 0, EPOCH_TRUNCATED)]
+        assert run_epochs([R, W], max_refs=0) == (0, 0)
 
     def test_spans_partition_the_stream(self):
         ops = [R, W, B, R, L, W, U, R, R, B, W]
-        spans = epoch_spans(ops)
-        # Consecutive spans tile the stream; each boundary is the sync
-        # op between them.
-        assert spans[0][0] == 0
-        for (s0, e0, b0), (s1, _, _) in zip(spans, spans[1:]):
-            assert b0 == e0
-            assert s1 == e0 + 1
-        assert spans[-1] == (10, 11, EPOCH_END)
+        assert run_epochs(ops) == (7, 2)
 
     def test_columnar_input(self):
-        ops, _ = materialize_stream([(R, 0), (B, 1), (W, 2)])
-        assert epoch_spans(ops) == [(0, 1, 1), (2, 3, EPOCH_END)]
-
-
-class TestSyncPositions:
-    def test_basic(self):
-        assert sync_positions([R, B, W, L, U, R]) == [1, 3, 4]
-
-    def test_none(self):
-        assert sync_positions([R, W, R]) == []
-
-    @pytest.mark.skipif(get_numpy() is None, reason="numpy unavailable")
-    def test_numpy_matches_fallback(self, monkeypatch):
-        ops = [random.Random(7).choice([R, W, B, L, U]) for _ in range(500)]
-        with_numpy = sync_positions(array.array("B", ops))
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        assert sync_positions(array.array("B", ops)) == with_numpy
+        # A shared stream key serves the second run its columns from
+        # the stream cache instead of draining the generator again.
+        ops = [R, B, W]
+        assert run_epochs(ops, stream_key="epochs-columnar") == (2, 1)
+        assert run_epochs(ops, stream_key="epochs-columnar") == (2, 1)
 
 
 class TestMaterializeStream:
@@ -124,6 +141,7 @@ class TestMaterializeStream:
         assert list(ops) == [R, W, B]
         assert list(vals) == [4096, -1, 3]
         # Both columns must expose the buffer protocol for ffi.from_buffer.
+        assert (ops.typecode, vals.typecode) == ("B", "q")
         assert memoryview(ops).itemsize == 1
         assert memoryview(vals).itemsize == 8
 
@@ -131,15 +149,6 @@ class TestMaterializeStream:
         ops, vals = materialize_stream(iter(()))
         assert len(ops) == 0 and len(vals) == 0
 
-    @pytest.mark.skipif(get_numpy() is None, reason="numpy unavailable")
-    def test_fallback_matches_numpy(self, monkeypatch):
-        stream = [(W, i * 64) for i in range(100)] + [(B, 0)]
-        np_ops, np_vals = materialize_stream(iter(stream))
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        py_ops, py_vals = materialize_stream(iter(stream))
-        assert isinstance(py_ops, array.array)
-        assert list(py_ops) == list(np_ops)
-        assert list(py_vals) == list(np_vals)
 
 
 class TestRngMarshalling:
@@ -163,10 +172,6 @@ class TestRngMarshalling:
         with pytest.raises(ValueError):
             rng_state_words(rng)
 
-
-needs_backend = pytest.mark.skipif(
-    get_backend() is None, reason=f"compiled backend unavailable: {backend_status()}"
-)
 
 
 @needs_backend
